@@ -1,6 +1,7 @@
 //! Machine-readable kernel benchmarks (`repro --bench-out FILE`).
 //!
-//! Times the hot kernels the prefetcher leans on — tiled matmul,
+//! Times the hot kernels the prefetcher leans on — tiled matmul (plus
+//! matmul/t_matmul at the GraphSAGE layer-0 training shape),
 //! `probe_batch`, `increment_batch`, top-k candidate selection, one full
 //! minibatch `prepare` — each under a 1-thread cap and under the full
 //! pool, plus an end-to-end [`wallclock_compare`] of the threaded
@@ -81,12 +82,34 @@ fn filled(rows: usize, cols: usize, salt: u32) -> Tensor {
     Tensor::from_vec(rows, cols, data)
 }
 
-fn bench_matmul(iters: usize) -> Value {
-    let (m, k, n) = (512usize, 256usize, 128usize);
+/// Layer-0 GraphSAGE product shape of the `train-products` benchmark
+/// workload: ≈1,909 dst rows, 100 input features, hidden width 64.
+const SAGE_L0: (usize, usize, usize) = (1909, 100, 64);
+
+/// `m×k · k×n` matmul.
+fn bench_matmul(iters: usize, (m, k, n): (usize, usize, usize)) -> Value {
     let a = filled(m, k, 1);
     let b = filled(k, n, 2);
     let (seq, par) = seq_vs_par(iters, || {
         std::hint::black_box(a.matmul(&b));
+    });
+    kernel_value(
+        vec![
+            ("m", (m as u64).to_value()),
+            ("k", (k as u64).to_value()),
+            ("n", (n as u64).to_value()),
+        ],
+        seq,
+        par,
+    )
+}
+
+/// `(k×m)ᵀ · k×n` t_matmul — the weight-gradient product.
+fn bench_t_matmul(iters: usize, (k, m, n): (usize, usize, usize)) -> Value {
+    let a = filled(k, m, 1);
+    let b = filled(k, n, 2);
+    let (seq, par) = seq_vs_par(iters, || {
+        std::hint::black_box(a.t_matmul(&b));
     });
     kernel_value(
         vec![
@@ -387,8 +410,11 @@ pub fn run_all(seed: u64, iters: usize) -> Value {
         "[bench: {cores} cores, pool of {threads} threads (MGNN_THREADS={}), {iters} iters per kernel]",
         mgnn_threads.map_or_else(|| "unset".into(), |n| n.to_string())
     );
-    let matmul = bench_matmul(iters);
+    let matmul = bench_matmul(iters, (512, 256, 128));
     eprintln!("[bench: matmul done]");
+    let matmul_sage_l0 = bench_matmul(iters, SAGE_L0);
+    let t_matmul_sage_l0 = bench_t_matmul(iters, SAGE_L0);
+    eprintln!("[bench: sage layer-0 matmul/t_matmul done]");
     let probe = bench_probe_batch(iters);
     eprintln!("[bench: probe_batch done]");
     let increment = bench_increment_batch(iters);
@@ -416,6 +442,8 @@ pub fn run_all(seed: u64, iters: usize) -> Value {
             "kernels",
             Value::obj([
                 ("matmul", matmul),
+                ("matmul_sage_l0", matmul_sage_l0),
+                ("t_matmul_sage_l0", t_matmul_sage_l0),
                 ("probe_batch", probe),
                 ("increment_batch", increment),
                 ("top_k", top_k),
@@ -447,6 +475,8 @@ mod tests {
         let text = serde_json::to_string_pretty(&doc);
         for key in [
             "\"matmul\"",
+            "\"matmul_sage_l0\"",
+            "\"t_matmul_sage_l0\"",
             "\"probe_batch\"",
             "\"increment_batch\"",
             "\"top_k\"",

@@ -164,6 +164,21 @@ impl GatLayer {
 
     /// Backward: returns grad w.r.t. `src`.
     pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        let dz = self.backward_attention(grad_out);
+        self.w.backward(&dz)
+    }
+
+    /// Backward for parameters only: accumulates exactly the gradients
+    /// [`GatLayer::backward`] does, without the discarded grad w.r.t.
+    /// `src` (for the input layer).
+    pub fn backward_params(&mut self, grad_out: &Tensor) {
+        let dz = self.backward_attention(grad_out);
+        self.w.backward_params(&dz);
+    }
+
+    /// Attention backward: accumulates `grad_a_l`/`grad_a_r` and returns
+    /// the grad w.r.t. the projected features `z`.
+    fn backward_attention(&mut self, grad_out: &Tensor) -> Tensor {
         let cache = self.cached.take().expect("backward before forward");
         let (heads, d) = (self.heads, self.head_dim);
         let block = &cache.block;
@@ -230,7 +245,7 @@ impl GatLayer {
                 }
             }
         }
-        self.w.backward(&dz)
+        dz
     }
 
     /// Zero accumulated gradients.

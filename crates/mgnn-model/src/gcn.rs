@@ -19,10 +19,22 @@ pub struct GcnLayer {
 
 #[derive(Debug, Clone)]
 struct GcnCache {
-    block: Block,
+    /// `None` after [`GcnLayer::forward_input`], whose params-only
+    /// backward never scatters onto src rows.
+    block: Option<Block>,
     src_rows: usize,
-    pre: Tensor,
-    activated: bool,
+    /// Pre-activation output, kept only when the activation was applied.
+    pre: Option<Tensor>,
+}
+
+impl GcnCache {
+    /// Gradient w.r.t. the pre-activation output.
+    fn grad_pre(&self, grad_out: &Tensor) -> Tensor {
+        match &self.pre {
+            Some(pre) => relu_backward(grad_out, pre),
+            None => grad_out.clone(),
+        }
+    }
 }
 
 impl GcnLayer {
@@ -80,31 +92,58 @@ impl GcnLayer {
 
     /// Forward over one block (`activate` applies ReLU for hidden layers).
     pub fn forward(&mut self, block: &Block, src: &Tensor, activate: bool) -> Tensor {
+        self.forward_cached(block, src, activate, true)
+    }
+
+    /// [`GcnLayer::forward`] for a model's input layer: caches only what
+    /// [`GcnLayer::backward_params`] reads (no block clone).
+    pub fn forward_input(&mut self, block: &Block, src: &Tensor, activate: bool) -> Tensor {
+        self.forward_cached(block, src, activate, false)
+    }
+
+    fn forward_cached(
+        &mut self,
+        block: &Block,
+        src: &Tensor,
+        activate: bool,
+        keep_block: bool,
+    ) -> Tensor {
         assert_eq!(src.rows(), block.num_src());
         let agg = Self::aggregate(block, src);
-        let pre = self.w.forward(&agg);
-        let out = if activate { relu(&pre) } else { pre.clone() };
+        let pre = self.w.forward_owned(agg);
+        let (out, pre) = if activate {
+            (relu(&pre), Some(pre))
+        } else {
+            (pre, None)
+        };
         self.cached = Some(GcnCache {
-            block: block.clone(),
+            block: keep_block.then(|| block.clone()),
             src_rows: src.rows(),
             pre,
-            activated: activate,
         });
         out
     }
 
-    /// Backward: returns grad w.r.t. `src`.
+    /// Backward: returns grad w.r.t. `src`. Panics unless the last
+    /// forward was [`GcnLayer::forward`].
     pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let cache = self.cached.take().expect("backward before forward");
-        let grad_pre = if cache.activated {
-            relu_backward(grad_out, &cache.pre)
-        } else {
-            grad_out.clone()
-        };
-        let grad_agg = self.w.backward(&grad_pre);
+        let block = cache
+            .block
+            .as_ref()
+            .expect("backward after forward_input; use backward_params");
+        let grad_agg = self.w.backward(&cache.grad_pre(grad_out));
         let mut grad_src = Tensor::zeros(cache.src_rows, self.w.in_dim());
-        Self::aggregate_backward(&cache.block, &grad_agg, &mut grad_src);
+        Self::aggregate_backward(block, &grad_agg, &mut grad_src);
         grad_src
+    }
+
+    /// Backward for parameters only: accumulates exactly the gradients
+    /// [`GcnLayer::backward`] does, without the discarded grad w.r.t.
+    /// `src` (for the input layer).
+    pub fn backward_params(&mut self, grad_out: &Tensor) {
+        let cache = self.cached.take().expect("backward before forward");
+        self.w.backward_params(&cache.grad_pre(grad_out));
     }
 
     /// Zero accumulated gradients.

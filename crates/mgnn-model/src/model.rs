@@ -66,19 +66,23 @@ impl Model for SageModel {
     fn forward(&mut self, blocks: &[Block], input: &Tensor) -> Tensor {
         assert_eq!(blocks.len(), self.layers.len(), "blocks/layers mismatch");
         let n = self.layers.len();
-        let mut h = input.clone();
-        for (i, (layer, block)) in self.layers.iter_mut().zip(blocks).enumerate() {
-            let activate = i + 1 < n;
-            h = layer.forward(block, &h, activate);
+        let (first, rest) = self.layers.split_first_mut().expect("at least one layer");
+        let mut h = first.forward_input(&blocks[0], input, n > 1);
+        for (i, (layer, block)) in rest.iter_mut().zip(&blocks[1..]).enumerate() {
+            h = layer.forward(block, &h, i + 2 < n);
         }
         h
     }
 
+    /// The input layer's grad w.r.t. its input is never read, so layer 0
+    /// runs the params-only backward.
     fn backward(&mut self, grad_logits: &Tensor) {
-        let mut g = grad_logits.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g);
+        let (first, rest) = self.layers.split_first_mut().expect("at least one layer");
+        let mut g: Option<Tensor> = None;
+        for layer in rest.iter_mut().rev() {
+            g = Some(layer.backward(g.as_ref().unwrap_or(grad_logits)));
         }
+        first.backward_params(g.as_ref().unwrap_or(grad_logits));
     }
 
     fn zero_grad(&mut self) {
@@ -144,31 +148,33 @@ impl Model for GatModel {
         assert_eq!(blocks.len(), self.layers.len(), "blocks/layers mismatch");
         let n = self.layers.len();
         self.relu_inputs.clear();
-        let mut h = input.clone();
+        let mut h: Option<Tensor> = None;
         for (i, (layer, block)) in self.layers.iter_mut().zip(blocks).enumerate() {
-            h = layer.forward(block, &h);
+            let mut out = layer.forward(block, h.as_ref().unwrap_or(input));
             if i + 1 < n {
                 // Inter-layer ReLU (the usual GAT uses ELU; ReLU keeps the
                 // backward a pure mask). The post-ReLU activation doubles
                 // as the mask: relu'(x) = 1 ⇔ relu(x) > 0.
-                h = mgnn_tensor::ops::relu(&h);
-                self.relu_inputs.push(h.clone());
+                out = mgnn_tensor::ops::relu(&out);
+                self.relu_inputs.push(out.clone());
             }
+            h = Some(out);
         }
-        h
+        h.expect("at least one layer")
     }
 
+    /// The input layer's grad w.r.t. its input is never read, so layer 0
+    /// runs the params-only backward.
     fn backward(&mut self, grad_logits: &Tensor) {
         let n = self.layers.len();
-        let mut g = grad_logits.clone();
-        for i in (0..n).rev() {
-            g = self.layers[i].backward(&g);
-            if i > 0 {
-                // `g` now aligns with layer i's input = relu(layer i-1 out);
-                // apply the ReLU mask before descending further.
-                g = mask_by_forward_positive(&g, &self.relu_inputs[i - 1]);
-            }
+        let mut g: Option<Tensor> = None;
+        for i in (1..n).rev() {
+            let gi = self.layers[i].backward(g.as_ref().unwrap_or(grad_logits));
+            // `gi` now aligns with layer i's input = relu(layer i-1 out);
+            // apply the ReLU mask before descending further.
+            g = Some(mask_by_forward_positive(&gi, &self.relu_inputs[i - 1]));
         }
+        self.layers[0].backward_params(g.as_ref().unwrap_or(grad_logits));
         self.relu_inputs.clear();
     }
 
@@ -250,19 +256,23 @@ impl Model for GcnModel {
     fn forward(&mut self, blocks: &[Block], input: &Tensor) -> Tensor {
         assert_eq!(blocks.len(), self.layers.len(), "blocks/layers mismatch");
         let n = self.layers.len();
-        let mut h = input.clone();
-        for (i, (layer, block)) in self.layers.iter_mut().zip(blocks).enumerate() {
-            let activate = i + 1 < n;
-            h = layer.forward(block, &h, activate);
+        let (first, rest) = self.layers.split_first_mut().expect("at least one layer");
+        let mut h = first.forward_input(&blocks[0], input, n > 1);
+        for (i, (layer, block)) in rest.iter_mut().zip(&blocks[1..]).enumerate() {
+            h = layer.forward(block, &h, i + 2 < n);
         }
         h
     }
 
+    /// The input layer's grad w.r.t. its input is never read, so layer 0
+    /// runs the params-only backward.
     fn backward(&mut self, grad_logits: &Tensor) {
-        let mut g = grad_logits.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g);
+        let (first, rest) = self.layers.split_first_mut().expect("at least one layer");
+        let mut g: Option<Tensor> = None;
+        for layer in rest.iter_mut().rev() {
+            g = Some(layer.backward(g.as_ref().unwrap_or(grad_logits)));
         }
+        first.backward_params(g.as_ref().unwrap_or(grad_logits));
     }
 
     fn zero_grad(&mut self) {
@@ -407,6 +417,125 @@ mod tests {
             .map(|&l| feats.label(part.global_id(l)))
             .collect();
         (mb.blocks, input, labels)
+    }
+
+    /// Two blocks with empty neighbourhoods: layer-0 dst 1 and layer-1
+    /// dst 0 sample no neighbours.
+    fn empty_neighbourhood_fixture() -> (Vec<Block>, Tensor, Vec<u32>) {
+        let b0 = Block {
+            num_dst: 3,
+            src_nodes: vec![0, 1, 2, 3, 4],
+            offsets: vec![0, 2, 2, 3],
+            indices: vec![3, 4, 0],
+        };
+        let b1 = Block {
+            num_dst: 2,
+            src_nodes: vec![0, 1, 2],
+            offsets: vec![0, 0, 2],
+            indices: vec![1, 2],
+        };
+        let input = Tensor::from_vec(
+            5,
+            8,
+            (0..40).map(|i| ((i * 7) % 11) as f32 / 5.0 - 1.0).collect(),
+        );
+        (vec![b0, b1], input, vec![0, 2])
+    }
+
+    fn grad_bits(model: &dyn Model) -> Vec<u32> {
+        let mut g = vec![0.0f32; model.num_params()];
+        model.write_grads(&mut g);
+        g.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// One step through `Model::forward`/`backward` (params-only input
+    /// layer) and one through every layer's full `forward`/`backward`
+    /// must leave bitwise-identical parameter gradients. Run twice, so
+    /// the in-place `zero_grad` is checked too.
+    fn assert_params_only_backward_matches<M: Model + Clone>(
+        model: &M,
+        chain: impl Fn(&mut M, &[Block], &Tensor) -> Tensor,
+        chain_backward: impl Fn(&mut M, Tensor),
+    ) {
+        for (blocks, input, labels) in [training_fixture(), empty_neighbourhood_fixture()] {
+            let mut full = model.clone();
+            full.zero_grad();
+            let logits = chain(&mut full, &blocks, &input);
+            let (_, grad) = cross_entropy(&logits, &labels);
+            chain_backward(&mut full, grad);
+            let want = grad_bits(&full);
+            assert!(want.iter().any(|&b| f32::from_bits(b) != 0.0));
+
+            let mut fast = model.clone();
+            for _ in 0..2 {
+                fast.zero_grad();
+                let logits_fast = Model::forward(&mut fast, &blocks, &input);
+                assert_eq!(logits_fast, logits);
+                let (_, grad) = cross_entropy(&logits_fast, &labels);
+                Model::backward(&mut fast, &grad);
+                assert_eq!(grad_bits(&fast), want);
+            }
+        }
+    }
+
+    #[test]
+    fn params_only_input_backward_matches_full_chain() {
+        assert_params_only_backward_matches(
+            &SageModel::new(&[8, 16, 3], 7),
+            |m, blocks, input| {
+                let n = m.layers.len();
+                let mut h = input.clone();
+                for (i, (l, b)) in m.layers.iter_mut().zip(blocks).enumerate() {
+                    h = l.forward(b, &h, i + 1 < n);
+                }
+                h
+            },
+            |m, mut g| {
+                for l in m.layers.iter_mut().rev() {
+                    g = l.backward(&g);
+                }
+            },
+        );
+        assert_params_only_backward_matches(
+            &GcnModel::new(&[8, 16, 3], 13),
+            |m, blocks, input| {
+                let n = m.layers.len();
+                let mut h = input.clone();
+                for (i, (l, b)) in m.layers.iter_mut().zip(blocks).enumerate() {
+                    h = l.forward(b, &h, i + 1 < n);
+                }
+                h
+            },
+            |m, mut g| {
+                for l in m.layers.iter_mut().rev() {
+                    g = l.backward(&g);
+                }
+            },
+        );
+        assert_params_only_backward_matches(
+            &GatModel::new(&[8, 8, 3], 2, 11),
+            |m, blocks, input| {
+                let n = m.layers.len();
+                m.relu_inputs.clear();
+                let mut h = input.clone();
+                for (i, (l, b)) in m.layers.iter_mut().zip(blocks).enumerate() {
+                    h = l.forward(b, &h);
+                    if i + 1 < n {
+                        h = mgnn_tensor::ops::relu(&h);
+                        m.relu_inputs.push(h.clone());
+                    }
+                }
+                h
+            },
+            |m, mut g| {
+                for i in (0..m.layers.len()).rev() {
+                    g = m.layers[i].backward(&g);
+                    if i > 0 {
+                        g = mask_by_forward_positive(&g, &m.relu_inputs[i - 1]);
+                    }
+                }
+            },
+        );
     }
 
     #[test]

@@ -21,14 +21,24 @@ pub struct SageLayer {
 
 #[derive(Debug, Clone)]
 struct SageCache {
-    /// Sparse aggregation structure of the block (cloned offsets/indices).
-    block: Block,
-    /// Input src features.
-    src: Tensor,
-    /// Pre-activation output.
-    pre: Tensor,
-    /// Whether the activation was applied.
-    activated: bool,
+    /// Sparse aggregation structure of the block (cloned offsets/indices);
+    /// `None` after [`SageLayer::forward_input`], whose params-only
+    /// backward never scatters onto src rows.
+    block: Option<Block>,
+    /// Row count of the input src features.
+    src_rows: usize,
+    /// Pre-activation output, kept only when the activation was applied.
+    pre: Option<Tensor>,
+}
+
+impl SageCache {
+    /// Gradient w.r.t. the pre-activation output.
+    fn grad_pre(&self, grad_out: &Tensor) -> Tensor {
+        match &self.pre {
+            Some(pre) => relu_backward(grad_out, pre),
+            None => grad_out.clone(),
+        }
+    }
 }
 
 impl SageLayer {
@@ -87,6 +97,22 @@ impl SageLayer {
     /// Forward over one block. `src` has `block.num_src()` rows; output has
     /// `block.num_dst` rows. `activate` applies ReLU (hidden layers).
     pub fn forward(&mut self, block: &Block, src: &Tensor, activate: bool) -> Tensor {
+        self.forward_cached(block, src, activate, true)
+    }
+
+    /// [`SageLayer::forward`] for a model's input layer: caches only what
+    /// [`SageLayer::backward_params`] reads (no block clone).
+    pub fn forward_input(&mut self, block: &Block, src: &Tensor, activate: bool) -> Tensor {
+        self.forward_cached(block, src, activate, false)
+    }
+
+    fn forward_cached(
+        &mut self,
+        block: &Block,
+        src: &Tensor,
+        activate: bool,
+        keep_block: bool,
+    ) -> Tensor {
         assert_eq!(src.rows(), block.num_src());
         // Self path uses the dst prefix of src.
         let dst_feats = Tensor::from_vec(
@@ -95,41 +121,55 @@ impl SageLayer {
             src.data()[..block.num_dst * src.cols()].to_vec(),
         );
         let agg = Self::aggregate(block, src);
-        let mut pre = self.w_self.forward(&dst_feats);
-        pre.add_assign(&self.w_neigh.forward(&agg));
-        let out = if activate { relu(&pre) } else { pre.clone() };
+        let mut pre = self.w_self.forward_owned(dst_feats);
+        pre.add_assign(&self.w_neigh.forward_owned(agg));
+        let (out, pre) = if activate {
+            (relu(&pre), Some(pre))
+        } else {
+            (pre, None)
+        };
         self.cached = Some(SageCache {
-            block: block.clone(),
-            src: src.clone(),
+            block: keep_block.then(|| block.clone()),
+            src_rows: src.rows(),
             pre,
-            activated: activate,
         });
         out
     }
 
-    /// Backward: returns grad w.r.t. `src`.
+    /// Backward: returns grad w.r.t. `src`. Panics unless the last
+    /// forward was [`SageLayer::forward`].
     pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let cache = self.cached.take().expect("backward before forward");
-        let grad_pre = if cache.activated {
-            relu_backward(grad_out, &cache.pre)
-        } else {
-            grad_out.clone()
-        };
+        let block = cache
+            .block
+            .as_ref()
+            .expect("backward after forward_input; use backward_params");
+        let grad_pre = cache.grad_pre(grad_out);
         // Through the two linears.
         let grad_dst = self.w_self.backward(&grad_pre);
         let grad_agg = self.w_neigh.backward(&grad_pre);
         // Assemble grad for all src rows.
-        let mut grad_src = Tensor::zeros(cache.src.rows(), cache.src.cols());
+        let mut grad_src = Tensor::zeros(cache.src_rows, self.w_self.in_dim());
         // Self path hits the dst prefix.
-        for i in 0..cache.block.num_dst {
+        for i in 0..block.num_dst {
             let g = grad_dst.row(i);
             let dst = grad_src.row_mut(i);
             for (d, &v) in dst.iter_mut().zip(g) {
                 *d += v;
             }
         }
-        Self::aggregate_backward(&cache.block, &grad_agg, &mut grad_src);
+        Self::aggregate_backward(block, &grad_agg, &mut grad_src);
         grad_src
+    }
+
+    /// Backward for parameters only: accumulates exactly the gradients
+    /// [`SageLayer::backward`] does, without the discarded grad w.r.t.
+    /// `src` (for the input layer).
+    pub fn backward_params(&mut self, grad_out: &Tensor) {
+        let cache = self.cached.take().expect("backward before forward");
+        let grad_pre = cache.grad_pre(grad_out);
+        self.w_self.backward_params(&grad_pre);
+        self.w_neigh.backward_params(&grad_pre);
     }
 
     /// Zero accumulated gradients.

@@ -39,12 +39,18 @@ impl Linear {
         self.weight.cols()
     }
 
-    /// Forward pass; caches `x` for backward.
+    /// Forward pass; caches a copy of `x` for backward.
     pub fn forward(&mut self, x: &Tensor) -> Tensor {
+        self.forward_owned(x.clone())
+    }
+
+    /// Forward pass that caches `x` itself for backward — no copy, for
+    /// callers that built `x` only to feed this layer.
+    pub fn forward_owned(&mut self, x: Tensor) -> Tensor {
         assert_eq!(x.cols(), self.in_dim());
         let mut y = x.matmul(&self.weight);
         y.add_row_broadcast(&self.bias);
-        self.cached_input = Some(x.clone());
+        self.cached_input = Some(x);
         y
     }
 
@@ -58,22 +64,31 @@ impl Linear {
     /// Backward pass: accumulates `grad_weight`/`grad_bias`, returns grad
     /// w.r.t. the input. Panics if called before `forward`.
     pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        self.backward_params(grad_out);
+        // dX = dY · Wᵀ
+        grad_out.matmul_t(&self.weight)
+    }
+
+    /// Backward pass for parameters only: accumulates `grad_weight` and
+    /// `grad_bias` exactly as [`Linear::backward`] does, without
+    /// computing the input gradient (for a model's input layer, whose
+    /// input gradient nobody reads). Panics if called before `forward`.
+    pub fn backward_params(&mut self, grad_out: &Tensor) {
         let x = self
             .cached_input
             .as_ref()
             .expect("backward called before forward");
-        // dW = xᵀ · dY,  db = Σ_rows dY,  dX = dY · Wᵀ
+        // dW = xᵀ · dY,  db = Σ_rows dY
         self.grad_weight.add_assign(&x.t_matmul(grad_out));
         for (gb, s) in self.grad_bias.iter_mut().zip(grad_out.sum_rows()) {
             *gb += s;
         }
-        grad_out.matmul_t(&self.weight)
     }
 
-    /// Zero accumulated gradients.
+    /// Zero accumulated gradients in place.
     pub fn zero_grad(&mut self) {
-        self.grad_weight = Tensor::zeros(self.in_dim(), self.out_dim());
-        self.grad_bias.iter_mut().for_each(|b| *b = 0.0);
+        self.grad_weight.data_mut().fill(0.0);
+        self.grad_bias.fill(0.0);
     }
 
     /// Number of scalar parameters.

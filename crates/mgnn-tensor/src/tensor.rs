@@ -93,20 +93,13 @@ impl Tensor {
     /// and amortize task dispatch.
     const MATMUL_RB: usize = 16;
 
-    /// `k`-block width in [`Tensor::matmul`]: one `KB×n` panel of
-    /// `rhs` (256·n·4 bytes) is reused by all rows of a row block
-    /// before moving on.
-    const MATMUL_KB: usize = 256;
-
     /// Matrix product `self · rhs` (`m×k · k×n → m×n`), parallel over
-    /// row blocks and cache-blocked over `k`.
+    /// row blocks and register-tiled over output columns.
     ///
-    /// The inner loop is `i-k-j` so the `rhs` row is streamed
-    /// contiguously (cache-friendly; see the Rust Performance Book's
-    /// advice on access order). Each output element still accumulates
-    /// in ascending-`k` order — `k`-blocking reorders loops, not the
-    /// per-element sum — so results are bitwise-identical to the
-    /// untiled kernel at any thread count.
+    /// Each output row is computed in column tiles (up to 32 wide) held
+    /// in registers while `k` ascends, so every output element is summed
+    /// from `+0.0` in ascending-`k` order with `a == 0.0` terms skipped —
+    /// bitwise-identical to the naive `i-k-j` loop at any thread count.
     pub fn matmul(&self, rhs: &Tensor) -> Tensor {
         assert_eq!(self.cols, rhs.rows, "matmul shape mismatch");
         let (m, k, n) = (self.rows, self.cols, rhs.cols);
@@ -118,21 +111,11 @@ impl Tensor {
             .enumerate()
             .for_each(|(blk, oblock)| {
                 let i0 = blk * Self::MATMUL_RB;
-                for kb in (0..k).step_by(Self::MATMUL_KB) {
-                    let kend = (kb + Self::MATMUL_KB).min(k);
-                    for (r, orow) in oblock.chunks_mut(n).enumerate() {
-                        let i = i0 + r;
-                        let arow = &self.data[i * k..(i + 1) * k];
-                        for (kk, &a) in arow[kb..kend].iter().enumerate() {
-                            if a == 0.0 {
-                                continue;
-                            }
-                            let brow = &rhs.data[(kb + kk) * n..(kb + kk + 1) * n];
-                            for (o, &b) in orow.iter_mut().zip(brow) {
-                                *o += a * b;
-                            }
-                        }
-                    }
+                let mut nonzeros = Vec::new();
+                for (r, orow) in oblock.chunks_mut(n).enumerate() {
+                    let i = i0 + r;
+                    let arow = &self.data[i * k..(i + 1) * k];
+                    sweep_row(orow, arow.iter().copied(), &rhs.data, false, &mut nonzeros);
                 }
             });
         Tensor::from_vec(m, n, out)
@@ -140,38 +123,35 @@ impl Tensor {
 
     /// `selfᵀ · rhs` (`k×m ᵀ · k×n → m×n`) without materializing the
     /// transpose — the gradient-of-weights product in linear backward.
+    ///
+    /// The shared `k` axis is cut into the length-only chunk grid of
+    /// [`rayon::pool::chunk_len`]. Each chunk's partial is summed from
+    /// `+0.0` in ascending row order (skipping `a == 0.0`) in registers,
+    /// and the partials are combined in chunk order,
+    /// `((p0 + p1) + p2) + …`. Output row blocks run in parallel, so
+    /// the result does not depend on the thread count.
     pub fn t_matmul(&self, rhs: &Tensor) -> Tensor {
         assert_eq!(self.rows, rhs.rows, "t_matmul shape mismatch");
         let (k, m, n) = (self.rows, self.cols, rhs.cols);
-        // Accumulate per row-block in parallel then reduce.
-        let out = (0..k)
-            .into_par_iter()
-            .fold(
-                || vec![0.0f32; m * n],
-                |mut acc, kk| {
-                    let arow = &self.data[kk * m..(kk + 1) * m];
-                    let brow = &rhs.data[kk * n..(kk + 1) * n];
-                    for (i, &a) in arow.iter().enumerate() {
-                        if a == 0.0 {
-                            continue;
-                        }
-                        let dst = &mut acc[i * n..(i + 1) * n];
-                        for (d, &b) in dst.iter_mut().zip(brow) {
-                            *d += a * b;
-                        }
+        let mut out = vec![0.0f32; m * n];
+        if m == 0 || n == 0 {
+            return Tensor::from_vec(m, n, out);
+        }
+        let cl = rayon::pool::chunk_len(k);
+        out.par_chunks_mut(n * Self::MATMUL_RB)
+            .enumerate()
+            .for_each(|(blk, oblock)| {
+                let i0 = blk * Self::MATMUL_RB;
+                let mut nonzeros = Vec::new();
+                for lo in (0..k).step_by(cl) {
+                    let hi = (lo + cl).min(k);
+                    let brows = &rhs.data[lo * n..hi * n];
+                    for (r, orow) in oblock.chunks_mut(n).enumerate() {
+                        let acol = (lo..hi).map(|kk| self.data[kk * m + i0 + r]);
+                        sweep_row(orow, acol, brows, lo > 0, &mut nonzeros);
                     }
-                    acc
-                },
-            )
-            .reduce(
-                || vec![0.0f32; m * n],
-                |mut a, b| {
-                    for (x, y) in a.iter_mut().zip(b) {
-                        *x += y;
-                    }
-                    a
-                },
-            );
+                }
+            });
         Tensor::from_vec(m, n, out)
     }
 
@@ -277,6 +257,136 @@ impl Tensor {
             b.row_mut(i).copy_from_slice(&self.row(i)[at..]);
         }
         (a, b)
+    }
+}
+
+/// Output-column tile width of the register-tiled kernels: 32 `f32`
+/// lanes are eight independent 4-wide add chains, enough to cover the
+/// add latency without spilling the accumulator.
+const TILE_W: usize = 32;
+
+/// `orow (=|+=) Σ_kk a_kk · b[kk, ·]` over ascending `kk`, skipping
+/// every `a_kk == 0.0` term. `a` yields one coefficient per row of `b`
+/// (row length `orow.len()`); with `accumulate` the sum is added onto
+/// `orow` (one `+=` per element), otherwise it overwrites it.
+///
+/// The coefficients are counted first. If all are nonzero, the rows of
+/// `b` are streamed as they are. Otherwise the nonzero `(kk, a_kk)`
+/// pairs are compacted into `nonzeros` without branching, so the tile
+/// loops never branch on a coefficient and a ReLU-sparse row costs no
+/// mispredicts per tile. Either way each element is summed from `+0.0`
+/// over the same terms in the same order as the naive loop.
+#[inline]
+fn sweep_row<I>(
+    orow: &mut [f32],
+    a: I,
+    b: &[f32],
+    accumulate: bool,
+    nonzeros: &mut Vec<(usize, f32)>,
+) where
+    I: ExactSizeIterator<Item = f32> + Clone,
+{
+    let n = orow.len();
+    let len = a.len();
+    if a.clone().filter(|&v| v != 0.0).count() == len {
+        row_tiles(orow, a.zip(b.chunks_exact(n)), accumulate);
+        return;
+    }
+    if nonzeros.len() < len {
+        nonzeros.resize(len, (0, 0.0));
+    }
+    let mut nnz = 0;
+    for (kk, v) in a.enumerate() {
+        nonzeros[nnz] = (kk, v);
+        nnz += usize::from(v != 0.0);
+    }
+    let terms = nonzeros[..nnz]
+        .iter()
+        .map(|&(kk, v)| (v, &b[kk * n..(kk + 1) * n]));
+    row_tiles(orow, terms, accumulate);
+}
+
+/// Sweep one output row in register tiles. `terms` yields `(a, b_row)`
+/// pairs, all with `a != 0.0`; each tile's accumulator lives in
+/// registers for the whole sweep.
+///
+/// Full [`TILE_W`] tiles come first. The remainder is covered by the
+/// narrowest tile that spans it and fits in the row, ending at the last
+/// column: it recomputes a few columns already written and drops those
+/// lanes, so `n = 47` takes two tiles instead of six. Only a row
+/// narrower than that tile falls back to the widest tiles that fit.
+#[inline]
+fn row_tiles<'b, I>(orow: &mut [f32], terms: I, accumulate: bool)
+where
+    I: Iterator<Item = (f32, &'b [f32])> + Clone,
+{
+    let n = orow.len();
+    let mut j0 = 0;
+    while n - j0 >= TILE_W {
+        store_tile(TILE_W, orow, j0, 0, terms.clone(), accumulate);
+        j0 += TILE_W;
+    }
+    while j0 < n {
+        let left = n - j0;
+        let cover = TILE_WIDTHS.into_iter().rev().find(|&c| c >= left && c <= n);
+        if let Some(c) = cover {
+            store_tile(c, orow, n - c, c - left, terms, accumulate);
+            return;
+        }
+        let w = TILE_WIDTHS.into_iter().find(|&w| w <= left).unwrap_or(1);
+        store_tile(w, orow, j0, 0, terms.clone(), accumulate);
+        j0 += w;
+    }
+}
+
+/// Register-tile widths, widest first.
+const TILE_WIDTHS: [usize; 5] = [TILE_W, 16, 8, 4, 1];
+
+/// Dispatch a `width`-column tile (one of [`TILE_WIDTHS`]) to
+/// [`store_tile_w`].
+#[inline(always)]
+fn store_tile<'b>(
+    width: usize,
+    orow: &mut [f32],
+    j0: usize,
+    skip: usize,
+    terms: impl Iterator<Item = (f32, &'b [f32])>,
+    accumulate: bool,
+) {
+    match width {
+        TILE_W => store_tile_w::<TILE_W>(orow, j0, skip, terms, accumulate),
+        16 => store_tile_w::<16>(orow, j0, skip, terms, accumulate),
+        8 => store_tile_w::<8>(orow, j0, skip, terms, accumulate),
+        4 => store_tile_w::<4>(orow, j0, skip, terms, accumulate),
+        _ => store_tile_w::<1>(orow, j0, skip, terms, accumulate),
+    }
+}
+
+/// One `W`-wide register tile at columns `j0..j0 + W`: every lane
+/// starts at `+0.0` and adds `a · b_row[j]` term by term. Lanes below
+/// `skip` are computed but not stored.
+#[inline(always)]
+fn store_tile_w<'b, const W: usize>(
+    orow: &mut [f32],
+    j0: usize,
+    skip: usize,
+    terms: impl Iterator<Item = (f32, &'b [f32])>,
+    accumulate: bool,
+) {
+    let mut acc = [0.0f32; W];
+    for (av, brow) in terms {
+        let bt: &[f32; W] = brow[j0..j0 + W].try_into().expect("tile within row");
+        for (s, &bv) in acc.iter_mut().zip(bt) {
+            *s += av * bv;
+        }
+    }
+    let dst = &mut orow[j0 + skip..j0 + W];
+    if accumulate {
+        for (d, s) in dst.iter_mut().zip(&acc[skip..]) {
+            *d += s;
+        }
+    } else {
+        dst.copy_from_slice(&acc[skip..]);
     }
 }
 
@@ -407,40 +517,107 @@ mod tests {
         Tensor::from_vec(rows, cols, data)
     }
 
-    /// The tiled kernel must be *bitwise* identical to the naive
-    /// ascending-k triple loop — k-blocking reorders loops, not the
-    /// per-element accumulation — at sizes straddling the RB=16 and
-    /// KB=256 block boundaries.
+    /// Like [`filled`], but with full-mantissa values: sums of
+    /// [`filled`]'s sixteenths are exact in any order, so they cannot
+    /// tell one summation order from another; these round.
+    fn rounding(rows: usize, cols: usize, salt: u32) -> Tensor {
+        let data = (0..rows * cols)
+            .map(|i| {
+                let h = (i as u32).wrapping_add(salt).wrapping_mul(2654435761);
+                (h % 100_003) as f32 / 7_919.3 - 6.3
+            })
+            .collect();
+        Tensor::from_vec(rows, cols, data)
+    }
+
+    /// [`rounding`] with every third element set to `0.0`, the pattern
+    /// a ReLU leaves behind, so the `a == 0.0` skip is exercised.
+    fn relu_sparse(rows: usize, cols: usize, salt: u32) -> Tensor {
+        let mut t = rounding(rows, cols, salt);
+        t.data_mut().iter_mut().step_by(3).for_each(|v| *v = 0.0);
+        t
+    }
+
+    fn bitwise_eq(x: &[f32], y: &[f32]) -> bool {
+        x.len() == y.len() && x.iter().zip(y).all(|(a, b)| a.to_bits() == b.to_bits())
+    }
+
+    /// `(rows, k)` shapes straddling the RB=16 row blocks and the
+    /// 64-chunk `k` grid, and output widths covering every tile width
+    /// and the overlapping remainder tile.
+    const PIN_SHAPES: &[(usize, usize)] = &[(1, 1), (15, 17), (16, 256), (17, 257), (40, 300)];
+    const PIN_WIDTHS: &[usize] = &[1, 3, 5, 7, 15, 16, 17, 19, 33, 47, 64];
+
+    /// The register-tiled kernel must be *bitwise* identical to the
+    /// naive ascending-k triple loop — tiling reorders loops, not the
+    /// per-element accumulation — for dense and ReLU-sparse inputs.
     #[test]
     fn tiled_matmul_bitwise_matches_naive() {
-        for &(m, k, n) in &[
-            (1usize, 1usize, 1usize),
-            (15, 17, 7),
-            (16, 256, 5),
-            (17, 257, 33),
-            (40, 300, 3),
-        ] {
-            let a = filled(m, k, 1);
-            let b = filled(k, n, 2);
-            let mut naive = vec![0.0f32; m * n];
-            for i in 0..m {
-                for kk in 0..k {
-                    let av = a.get(i, kk);
-                    if av == 0.0 {
-                        continue;
+        for &(m, k) in PIN_SHAPES {
+            for &n in PIN_WIDTHS {
+                for a in [rounding(m, k, 1), relu_sparse(m, k, 1)] {
+                    let b = rounding(k, n, 2);
+                    let mut naive = vec![0.0f32; m * n];
+                    for i in 0..m {
+                        for kk in 0..k {
+                            let av = a.get(i, kk);
+                            if av == 0.0 {
+                                continue;
+                            }
+                            for j in 0..n {
+                                naive[i * n + j] += av * b.get(kk, j);
+                            }
+                        }
                     }
-                    for j in 0..n {
-                        naive[i * n + j] += av * b.get(kk, j);
-                    }
+                    assert!(
+                        bitwise_eq(a.matmul(&b).data(), &naive),
+                        "tiled matmul diverged at m={m} k={k} n={n}"
+                    );
                 }
             }
-            let tiled = a.matmul(&b);
-            let same = tiled
-                .data()
-                .iter()
-                .zip(&naive)
-                .all(|(x, y)| x.to_bits() == y.to_bits());
-            assert!(same, "tiled matmul diverged at m={m} k={k} n={n}");
+        }
+    }
+
+    /// `t_matmul` must equal, bit for bit, the chunked fold/reduce it
+    /// replaced: per-chunk partials over the `rayon::pool::chunk_len`
+    /// grid, each summed from 0 in row order (skipping `a == 0.0`),
+    /// combined in chunk order.
+    #[test]
+    fn t_matmul_bitwise_matches_chunked_fold() {
+        for &(m, k) in PIN_SHAPES {
+            for &n in PIN_WIDTHS {
+                for a in [rounding(k, m, 3), relu_sparse(k, m, 3)] {
+                    let b = rounding(k, n, 4);
+                    let cl = rayon::pool::chunk_len(k);
+                    let mut reference: Option<Vec<f32>> = None;
+                    for lo in (0..k).step_by(cl) {
+                        let mut part = vec![0.0f32; m * n];
+                        for kk in lo..(lo + cl).min(k) {
+                            for i in 0..m {
+                                let av = a.get(kk, i);
+                                if av == 0.0 {
+                                    continue;
+                                }
+                                for j in 0..n {
+                                    part[i * n + j] += av * b.get(kk, j);
+                                }
+                            }
+                        }
+                        reference = Some(match reference {
+                            None => part,
+                            Some(mut acc) => {
+                                acc.iter_mut().zip(&part).for_each(|(x, y)| *x += y);
+                                acc
+                            }
+                        });
+                    }
+                    let reference = reference.unwrap_or_else(|| vec![0.0; m * n]);
+                    assert!(
+                        bitwise_eq(a.t_matmul(&b).data(), &reference),
+                        "t_matmul diverged at k={k} m={m} n={n}"
+                    );
+                }
+            }
         }
     }
 
